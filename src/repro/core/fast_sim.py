@@ -25,6 +25,12 @@ values while doing strictly less work per step:
   that only change when a job starts.  Any policy built from other
   classes falls back to the reference kernel — same results, reference
   speed.
+* **Behaviour sharing** (:class:`ShareTable`): within one round an
+  outcome also answers every member that provably behaves the same on
+  this prep — by the one-job static equivalences, or across the three
+  VM-selection kinds when :func:`fast_evaluate` reports the trajectory
+  never let them disagree — so the selector simulates behaviours, not
+  names.
 
 Bit-identity argument (verified by the differential soak in
 ``tests/test_kernel_fast.py`` and the CI export diffs):
@@ -64,7 +70,7 @@ from repro.core.online_sim import _charged, _remaining_paid
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.online_sim import OnlineSimulator, SimOutcome
 
-__all__ = ["KernelPrep", "fast_plan", "fast_evaluate"]
+__all__ = ["KernelPrep", "Member", "ShareTable", "fast_plan", "fast_evaluate"]
 
 _EPS = 1e-6
 _INF = float("inf")
@@ -102,6 +108,107 @@ def fast_plan(policy: CombinedPolicy):
     if pk is None or jk is None or vk is None:
         return None
     return pk, jk, vk, base
+
+
+# Provisioning merge classes of a Member (see ShareTable).
+_MERGE_NEVER, _MERGE_ALWAYS, _MERGE_IF_WORK = range(3)
+#: Provisioning key of the merged ODA/ODM/ODE class (never an ``id()``).
+_MERGED = -1
+
+
+class Member:
+    """Per-member constants hoisted out of the selection loop.
+
+    Built once per portfolio member: its name (an f-string property on
+    :class:`CombinedPolicy`), its :func:`fast_plan` and its
+    :class:`ShareTable` keys.  The keys are component *identities*, so
+    members with equal keys share component instances and behave
+    identically by construction; only the equivalences
+    :class:`ShareTable` proves ever join different keys.
+    """
+
+    __slots__ = ("policy", "name", "plan", "prov_key", "jsel_key",
+                 "vsel_key", "merge")
+
+    def __init__(self, policy: CombinedPolicy) -> None:
+        self.policy = policy
+        self.name = policy.name
+        plan = fast_plan(policy)
+        self.plan = plan
+        self.merge = _MERGE_NEVER
+        if plan is None:
+            self.prov_key = self.jsel_key = self.vsel_key = None
+            return
+        self.prov_key = id(policy.provisioning)
+        self.jsel_key = id(policy.job_selection)
+        self.vsel_key = id(policy.vm_selection)
+        # Plain (unwrapped) ODA/ODM always size one job the same way;
+        # ODE only when that job carries positive work.
+        if plan[3] is policy.provisioning:
+            if plan[0] in (_PROV_ODA, _PROV_ODM):
+                self.merge = _MERGE_ALWAYS
+            elif plan[0] == _PROV_ODE:
+                self.merge = _MERGE_IF_WORK
+
+
+class ShareTable:
+    """Round-local outcomes keyed by behaviour rather than by member.
+
+    One selection round evaluates many members on one
+    :class:`KernelPrep`; an outcome is reused for another member only
+    when the two are provably behaviour-equivalent on this prep:
+
+    * **static, from the prep** — with one queued job every job-selection
+      order visits that job alone, so the job-selection key collapses;
+      and ODA (``procs - available``), ODM (``widest - available``) and
+      ODE (``min(max(ceil(work / 3600), widest), total) - available``,
+      when ``work > 0``) all demand ``procs[0] - available`` at every
+      step, so the three plain types share one provisioning key.  Spot
+      wrappers re-price new VM hours and keep their own key.
+    * **dynamic, from the kernel** — an outcome whose trajectory was
+      ``vsel_invariant`` (:func:`fast_evaluate`) serves all three
+      VM-selection kinds; any other outcome serves only its own kind.
+
+    Members without a fast plan take the reference loop and are never
+    shared.  A table lives for one round only and is never pickled.
+    """
+
+    __slots__ = ("single_job", "ode_merges", "outcomes")
+
+    def __init__(self, prep: KernelPrep) -> None:
+        self.single_job = prep.n_jobs == 1
+        self.ode_merges = self.single_job and prep.work[0] > 0
+        self.outcomes: dict[tuple, "SimOutcome"] = {}
+
+    def _key(self, member: Member) -> tuple:
+        if not self.single_job:
+            return member.prov_key, member.jsel_key
+        merge = member.merge
+        if merge == _MERGE_ALWAYS or (merge == _MERGE_IF_WORK
+                                      and self.ode_merges):
+            return _MERGED, None
+        return member.prov_key, None
+
+    def lookup(self, member: Member) -> "SimOutcome | None":
+        """An outcome *member* would reproduce exactly, if one is known."""
+        if member.plan is None:
+            return None
+        pkey, jkey = self._key(member)
+        outcomes = self.outcomes
+        hit = outcomes.get((pkey, jkey, member.vsel_key))
+        if hit is None:
+            hit = outcomes.get((pkey, jkey, None))
+        return hit
+
+    def store(self, member: Member, outcome: "SimOutcome",
+              vsel_invariant: bool) -> None:
+        """Record a fresh fast-kernel evaluation of *member*."""
+        if member.plan is None:
+            return
+        pkey, jkey = self._key(member)
+        self.outcomes[(pkey, jkey, member.vsel_key)] = outcome
+        if vsel_invariant:
+            self.outcomes[(pkey, jkey, None)] = outcome
 
 
 class KernelPrep:
@@ -221,12 +328,20 @@ def fast_evaluate(
     prep: KernelPrep,
     policy: CombinedPolicy,
     plan,
-) -> "SimOutcome":
+) -> "tuple[SimOutcome, bool]":
     """Array-based evaluation of *policy* on *prep*'s snapshot.
 
-    Decision-for-decision identical to
+    Returns ``(outcome, vsel_invariant)``.  The outcome is
+    decision-for-decision identical to
     ``OnlineSimulator._evaluate_reference`` under the eager release
     rule; see the module docstring for the bit-identity argument.
+    ``vsel_invariant`` is True when, at every VM-selection decision of
+    the trajectory, the pool was taken whole (``p == len(pool)``) or all
+    its ``(rem - runtime) % period`` values were equal: then FirstFit,
+    BestFit and WorstFit choose the same VMs and the outcome holds for
+    all three (see :class:`ShareTable`).  It stays out of the
+    ``SimOutcome`` so the fast-vs-reference oracle compares outcomes
+    alone.
     """
     pk, jk, vk, base_prov = plan
     tick = sim.tick
@@ -306,6 +421,9 @@ def fast_evaluate(
     t = t0
     steps = 0
     truncated = False
+    # Cleared at the first VM-selection decision where the three kinds
+    # could disagree (see :class:`ShareTable`).
+    vsel_invariant = True
 
     while pending:
         steps += 1
@@ -422,15 +540,31 @@ def fast_evaluate(
             used: set[int] = set()
             for qidx in order_iter:
                 p = procs[qidx]
-                if p > len(pool):
+                n_pool = len(pool)
+                if p > n_pool:
                     break  # no backfilling: the blocked job stalls the queue
                 if vk == _VSEL_FIRST:
+                    if vsel_invariant and p < n_pool:
+                        # FirstFit never ranks the pool; rank it anyway
+                        # while the flag still holds, to learn whether
+                        # BestFit/WorstFit would have kept its order.
+                        if rem is None:
+                            rem = [
+                                (period - (t - lease[s]) % period) % period
+                                or period
+                                for s in idle
+                            ]
+                        runtime = runtimes[qidx]
+                        ra = [(rem[pi] - runtime) % period for pi in pool]
+                        vsel_invariant = ra.count(ra[0]) == n_pool
                     chosen = pool[:p]
                     del pool[:p]
                 else:
                     runtime = runtimes[qidx]
                     ra = [(rem[pi] - runtime) % period for pi in pool]
-                    picks = sorted(range(len(pool)), key=ra.__getitem__,
+                    if vsel_invariant and p < n_pool:
+                        vsel_invariant = ra.count(ra[0]) == n_pool
+                    picks = sorted(range(n_pool), key=ra.__getitem__,
                                    reverse=vk == _VSEL_WORST)[:p]
                     chosen = [pool[ci] for ci in picks]
                     for ci in sorted(picks, reverse=True):
@@ -560,5 +694,6 @@ def fast_evaluate(
         if s >= n_pre:
             rv_new += charge
 
-    return sim._score_fast(prep, policy.provisioning, start_times,
-                           t, rv, rv_new, steps, truncated)
+    outcome = sim._score_fast(prep, policy.provisioning, start_times,
+                              t, rv, rv_new, steps, truncated)
+    return outcome, vsel_invariant

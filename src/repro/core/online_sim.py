@@ -190,22 +190,34 @@ class OnlineSimulator:
 
         return KernelPrep(queue, waits, runtimes, profile)
 
-    def evaluate_prepared(self, prep, policy: CombinedPolicy) -> SimOutcome:
+    def evaluate_prepared(
+        self, prep, policy: CombinedPolicy, plan=None, *, flagged: bool = False
+    ):
         """Evaluate *policy* against a prefix built by :meth:`prepare`.
 
         Takes the fast path when the kernel allows it and the policy is
         built from the known concrete classes; otherwise falls back to
         the reference loop on the original snapshot (same results).
+        *plan* is the policy's :func:`~repro.core.fast_sim.fast_plan`
+        when the caller has it already (``None``: derive it here).
+
+        Returns the :class:`SimOutcome`, or with ``flagged`` the pair
+        ``(outcome, vsel_invariant)`` — the fast kernel's VM-selection
+        flag (see :func:`~repro.core.fast_sim.fast_evaluate`), always
+        False on the reference fallback.
         """
         if getattr(self, "kernel", "fast") == "fast" and self.release_rule == "eager":
             from repro.core.fast_sim import fast_evaluate, fast_plan
 
-            plan = fast_plan(policy)
+            if plan is None:
+                plan = fast_plan(policy)
             if plan is not None:
-                return fast_evaluate(self, prep, policy, plan)
-        return self._evaluate_reference(
+                result = fast_evaluate(self, prep, policy, plan)
+                return result if flagged else result[0]
+        outcome = self._evaluate_reference(
             prep.queue, prep.waits, prep.runtimes, prep.profile, policy
         )
+        return (outcome, False) if flagged else outcome
 
     def evaluate(
         self,
@@ -232,7 +244,7 @@ class OnlineSimulator:
             plan = fast_plan(policy)
             if plan is not None:
                 prep = KernelPrep(queue, waits, runtimes, profile)
-                return fast_evaluate(self, prep, policy, plan)
+                return fast_evaluate(self, prep, policy, plan)[0]
         return self._evaluate_reference(queue, waits, runtimes, profile, policy)
 
     def _evaluate_reference(

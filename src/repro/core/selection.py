@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.cloud.profile import CloudProfile
+from repro.core.fast_sim import Member, ShareTable
 from repro.core.online_sim import OnlineSimulator, SimOutcome
 from repro.policies.combined import CombinedPolicy
 from repro.sim.clock import CostClock, WallCostClock
@@ -160,18 +161,19 @@ class TimeConstrainedSelector:
         self.total_simulated = 0
         #: Total evaluations quarantined (exceptions swallowed) so far.
         self.quarantined = 0
+        #: Per-member constants (name, fast plan, share keys), keyed by
+        #: ``id(policy)``; see :meth:`_member`.
+        self._members = {id(p): Member(p) for p in portfolio}
         #: Warm-start prefix for the current invocation: one
         #: ``KernelPrep`` built in :meth:`select` and shared by every
         #: policy evaluation of the round (``None`` between rounds).
         self._prep = None
-        #: Round-over-round memo: ``policy.name -> SimOutcome`` from the
-        #: previous invocation, valid only while ``_memo_key`` matches the
-        #: current (queue, waits, runtimes, profile) state.  ``None`` when
-        #: memoization is off (reference kernel keeps the historical
-        #: one-evaluation-per-policy-per-round behaviour).
-        self._memo: dict[str, SimOutcome] | None = None
-        self._memo_key: tuple | None = None
-        #: Evaluations answered from the memo instead of a fresh simulation.
+        #: The round's :class:`~repro.core.fast_sim.ShareTable`: outcomes
+        #: of this round reused for behaviour-equivalent members
+        #: (``None`` between rounds and whenever sharing is off).
+        self._share: ShareTable | None = None
+        #: Evaluations answered from the share table instead of a fresh
+        #: simulation (the name predates the table).
         self.memo_hits = 0
         #: Evaluations quarantined since the last *successful* evaluation;
         #: the scheduler's failover cap watches this.
@@ -187,50 +189,28 @@ class TimeConstrainedSelector:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _round_key(
-        queue: Sequence[Job],
-        waits: Sequence[float],
-        runtimes: Sequence[float],
-        profile: CloudProfile,
-    ) -> tuple:
-        """Digest of the selection-round inputs the simulator reads.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        # ``id()`` keys mean nothing in another process; rebuilt lazily.
+        state["_members"] = {}
+        return state
 
-        Jobs are keyed by ``(job_id, procs)`` — the only job fields the
-        online simulation consumes beyond the parallel ``waits`` /
-        ``runtimes`` arrays — and :class:`CloudProfile` is a frozen
-        dataclass that compares by value, so two rounds with equal keys
-        are guaranteed to produce identical ``SimOutcome``s per policy.
-        """
-        return (
-            tuple((job.job_id, job.procs) for job in queue),
-            tuple(waits),
-            tuple(runtimes),
-            profile,
-        )
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots from builds with the round-over-round memo still
+        # carry its state.
+        state.pop("_memo", None)
+        state.pop("_memo_key", None)
+        state.setdefault("memo_hits", 0)
+        state.setdefault("_members", {})
+        state["_share"] = None
+        self.__dict__.update(state)
 
-    def _memo_lookup(self, policy: CombinedPolicy) -> PolicyScore | None:
-        """Return a cached :class:`PolicyScore` for *policy*, if memoised.
-
-        A hit is charged ``cost_clock.measure(0.0, steps)`` — under the
-        paper's virtual clock that is *exactly* what a fresh evaluation
-        would charge (the clock ignores wall time), so memoization never
-        perturbs the Algorithm 1 budget trajectory in experiments.
-        """
-        memo = getattr(self, "_memo", None)
-        if memo is None:
-            return None
-        cached = memo.get(policy.name)
-        if cached is None:
-            return None
-        self.memo_hits = getattr(self, "memo_hits", 0) + 1
-        self.consecutive_quarantines = 0
-        return PolicyScore(
-            policy=policy,
-            score=cached.score,
-            cost=self.cost_clock.measure(0.0, cached.steps),
-            outcome=cached,
-        )
+    def _member(self, policy: CombinedPolicy) -> Member:
+        """The hoisted constants of *policy*, built on first sight."""
+        member = self._members.get(id(policy))
+        if member is None or member.policy is not policy:
+            member = self._members[id(policy)] = Member(policy)
+        return member
 
     def _begin_round(
         self,
@@ -239,39 +219,40 @@ class TimeConstrainedSelector:
         runtimes: Sequence[float],
         profile: CloudProfile,
     ) -> None:
-        """Set up the round's warm-start prefix and memo validity.
+        """Set up the round's warm-start prefix and share table.
 
         The prefix (:meth:`OnlineSimulator.prepare`) is built once and
-        shared by every serial evaluation this round.  The memo survives
-        from the previous round only while the round key is unchanged —
-        any queue/wait/fleet delta invalidates it wholesale.  Both are
-        gated on the fast kernel so ``--kernel reference`` keeps the
-        historical evaluation path bit-for-bit.
+        shared by every serial evaluation this round; the serial path's
+        share table starts empty.  Both are gated on the fast kernel so
+        ``--kernel reference`` keeps the historical one-evaluation-per-
+        policy path bit-for-bit.
         """
         simulator = self.simulator
+        sim_type = type(simulator)
         if (
             getattr(simulator, "kernel", "reference") != "fast"
             # A subclass overriding ``evaluate`` (stubs, instrumentation)
             # must keep seeing one call per policy: the prepared path
-            # would silently bypass the override, and memo hits would
-            # swallow calls entirely.
-            or type(simulator).evaluate is not OnlineSimulator.evaluate
+            # would silently bypass the override, and shared answers
+            # would swallow calls entirely.
+            or sim_type.evaluate is not OnlineSimulator.evaluate
         ):
             self._prep = None
-            self._memo = None
-            self._memo_key = None
+            self._share = None
             return
-        key = self._round_key(queue, waits, runtimes, profile)
-        if getattr(self, "_memo", None) is None or key != getattr(
-            self, "_memo_key", None
-        ):
-            self._memo = {}
-            self._memo_key = key
         profiler = self.profiler
         prep_begin = _time.perf_counter() if profiler is not None else 0.0
         self._prep = simulator.prepare(queue, waits, runtimes, profile)
         if profiler is not None:
             profiler.add("selector.prepare", _time.perf_counter() - prep_begin)
+        # The parallel path does not share; the fast kernel covers the
+        # eager release rule only.
+        shareable = (
+            self.evaluator is None
+            and simulator.release_rule == "eager"
+            and sim_type.evaluate_prepared is OnlineSimulator.evaluate_prepared
+        )
+        self._share = ShareTable(self._prep) if shareable else None
 
     def _simulate(
         self,
@@ -292,16 +273,36 @@ class TimeConstrainedSelector:
         selector's set-rebuild bookkeeping — and goes through
         :meth:`CostClock.stamp`, so virtual clocks never touch the real
         clock at all.
+
+        A member the round's share table can answer is not simulated: it
+        is charged ``cost_clock.measure(0.0, steps)`` — under the paper's
+        virtual clock exactly what a fresh evaluation would charge (that
+        clock ignores wall time), so sharing never perturbs the
+        Algorithm 1 budget trajectory in experiments.
         """
-        hit = self._memo_lookup(policy)
-        if hit is not None:
-            return hit
+        share = self._share
+        if share is not None:
+            member = self._member(policy)
+            shared = share.lookup(member)
+            if shared is not None:
+                self.memo_hits += 1
+                self.consecutive_quarantines = 0
+                return PolicyScore(
+                    policy=policy,
+                    score=shared.score,
+                    cost=self.cost_clock.measure(0.0, shared.steps),
+                    outcome=shared,
+                )
         profiler = self.profiler
         span_begin = _time.perf_counter() if profiler is not None else 0.0
         begin = self.cost_clock.stamp()
-        prep = getattr(self, "_prep", None)
+        prep = self._prep
         try:
-            if prep is not None:
+            if share is not None:
+                outcome, vsel_invariant = self.simulator.evaluate_prepared(
+                    prep, policy, member.plan, flagged=True
+                )
+            elif prep is not None:
                 outcome = self.simulator.evaluate_prepared(prep, policy)
             else:
                 outcome = self.simulator.evaluate(
@@ -324,9 +325,8 @@ class TimeConstrainedSelector:
         if profiler is not None:
             profiler.add("selector.evaluate", _time.perf_counter() - span_begin)
         self.consecutive_quarantines = 0
-        memo = getattr(self, "_memo", None)
-        if memo is not None:
-            memo[policy.name] = outcome  # failures are never memoised
+        if share is not None:
+            share.store(member, outcome, vsel_invariant)  # never failures
         cost = self.cost_clock.measure(wall, outcome.steps)
         return PolicyScore(policy=policy, score=outcome.score, cost=cost, outcome=outcome)
 
@@ -360,7 +360,9 @@ class TimeConstrainedSelector:
             # Deterministic total order — (score desc, fixed policy index)
             # — so the merge cannot depend on worker completion order.
             simulated.sort(
-                key=lambda ps: (-ps.score, self._policy_index[ps.policy.name])
+                key=lambda ps: (
+                    -ps.score, self._policy_index[self._member(ps.policy).name]
+                )
             )
         else:
             simulated, spent = self._phases_serial(
@@ -378,7 +380,9 @@ class TimeConstrainedSelector:
 
         self.invocations += 1
         self.total_simulated += len(simulated)
-        self._prep = None  # do not pin the round's snapshot between ticks
+        # Do not pin the round's snapshot or outcomes between ticks.
+        self._prep = None
+        self._share = None
         if self.profiler is not None:
             self.profiler.add(
                 "selector.select", _time.perf_counter() - select_begin
@@ -459,24 +463,13 @@ class TimeConstrainedSelector:
             nonlocal spent
             while budget > 0:
                 wave: list[tuple[int, CombinedPolicy]] = []
-                hits = 0
                 for _ in range(evaluator.workers):
                     policy = take_next()
                     if policy is None:
                         break
-                    # Memo hits are answered parent-side and never shipped
-                    # to a worker; they still charge the phase budget.
-                    ps = self._memo_lookup(policy)
-                    if ps is not None:
-                        simulated.append(ps)
-                        budget -= ps.cost
-                        spent += ps.cost
-                        hits += 1
-                        continue
-                    wave.append((self._policy_index[policy.name], policy))
+                    name = self._member(policy).name
+                    wave.append((self._policy_index[name], policy))
                 if not wave:
-                    if hits:
-                        continue
                     break
                 by_index = {index: policy for index, policy in wave}
                 wave_begin = (
@@ -508,9 +501,6 @@ class TimeConstrainedSelector:
                     else:
                         self.consecutive_quarantines = 0
                         assert rec.outcome is not None
-                        memo = getattr(self, "_memo", None)
-                        if memo is not None:
-                            memo[policy.name] = rec.outcome
                         ps = PolicyScore(
                             policy=policy,
                             score=rec.outcome.score,

@@ -52,6 +52,7 @@ from repro.resilience.stats import ResilienceStats
 from repro.sim.events import Event, EventKind
 from repro.sim.kernel import Simulator
 from repro.workload.job import Job, JobState
+from repro.workload.workflows import topological_order
 
 __all__ = ["EngineConfig", "ExperimentResult", "ClusterEngine"]
 
@@ -354,7 +355,8 @@ class ClusterEngine:
                     unmet += 1
                 if unmet:
                     self._deps_remaining[child] = unmet
-            self._check_acyclic(dependencies)
+            # Cycles deadlock the run, so reject them up front.
+            topological_order(dependencies)
 
         # Phased-run state (start → advance* → finalize): the durability
         # layer snapshots between advance() calls, so everything the loop
@@ -409,31 +411,6 @@ class ClusterEngine:
             # Billing fan-out must stay a bound method (snapshots pickle
             # the engine whole; a closure would break them).
             self.provider.on_charge = self._dispatch_charge
-
-    @staticmethod
-    def _check_acyclic(dependencies: "dict[int, tuple[int, ...]]") -> None:
-        """Kahn's algorithm over the dependency edges; cycles deadlock the
-        run, so reject them up front."""
-        indegree: dict[int, int] = {}
-        children: dict[int, list[int]] = {}
-        nodes: set[int] = set()
-        for child, parents in dependencies.items():
-            nodes.add(child)
-            for parent in parents:
-                nodes.add(parent)
-                children.setdefault(parent, []).append(child)
-                indegree[child] = indegree.get(child, 0) + 1
-        frontier = [n for n in nodes if indegree.get(n, 0) == 0]
-        visited = 0
-        while frontier:
-            node = frontier.pop()
-            visited += 1
-            for child in children.get(node, ()):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    frontier.append(child)
-        if visited != len(nodes):
-            raise ValueError("dependency graph contains a cycle")
 
     # -- observability -------------------------------------------------------
 

@@ -21,8 +21,8 @@ Bags-of-Tasks are the degenerate case with no edges —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.sim.rng import make_rng
@@ -30,6 +30,7 @@ from repro.workload.job import Job
 
 __all__ = [
     "Workflow",
+    "topological_order",
     "bag_of_tasks",
     "fork_join_workflow",
     "random_layered_workflow",
@@ -66,19 +67,18 @@ class Workflow:
                         f"workflow {self.name}: job {child} depends on "
                         f"unknown job {parent}"
                     )
-        graph = self.graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise ValueError(f"workflow {self.name}: dependency cycle {cycle}")
+        try:
+            topological_order(self.dependencies)
+        except ValueError as exc:
+            raise ValueError(f"workflow {self.name}: {exc}") from None
 
-    def graph(self) -> "nx.DiGraph":
-        """The precedence DAG (edge parent → child)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(job.job_id for job in self.jobs)
+    def graph(self) -> dict[int, list[int]]:
+        """The precedence DAG as adjacency lists: job id → child job ids."""
+        children: dict[int, list[int]] = {job.job_id: [] for job in self.jobs}
         for child, parents in self.dependencies.items():
             for parent in parents:
-                g.add_edge(parent, child)
-        return g
+                children[parent].append(child)
+        return children
 
     def roots(self) -> list[Job]:
         """Jobs with no parents (start immediately on submission)."""
@@ -91,7 +91,9 @@ class Workflow:
     def critical_path_seconds(self) -> float:
         """Lower bound on makespan: the longest runtime chain."""
         runtime = {job.job_id: job.runtime for job in self.jobs}
-        order = list(nx.topological_sort(self.graph()))
+        order = topological_order(
+            self.dependencies, (job.job_id for job in self.jobs)
+        )
         longest: dict[int, float] = {}
         for node in order:
             parents = self.dependencies.get(node, ())
@@ -101,6 +103,49 @@ class Workflow:
 
     def total_work(self) -> float:
         return sum(job.procs * job.runtime for job in self.jobs)
+
+
+def topological_order(
+    dependencies: Mapping[int, Iterable[int]], nodes: Iterable[int] = ()
+) -> list[int]:
+    """Kahn's algorithm over ``child -> parents`` edges.
+
+    Returns every node — *nodes*, the children and their parents —
+    parents first.  Raises :class:`ValueError` naming one cycle's edges
+    (``(parent, child)`` pairs) if the graph has any.
+    """
+    indegree: dict[int, int] = dict.fromkeys(nodes, 0)
+    children: dict[int, list[int]] = {}
+    for child, parents in dependencies.items():
+        indegree.setdefault(child, 0)
+        for parent in parents:
+            indegree.setdefault(parent, 0)
+            indegree[child] += 1
+            children.setdefault(parent, []).append(child)
+    frontier = [node for node, degree in indegree.items() if degree == 0]
+    order: list[int] = []
+    while frontier:
+        node = frontier.pop()
+        order.append(node)
+        for child in children.get(node, ()):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                frontier.append(child)
+    if len(order) == len(indegree):
+        return order
+    # Every node left over still has a left-over parent: walking parent
+    # links from any of them must revisit a node, closing a cycle.
+    left = {node for node, degree in indegree.items() if degree > 0}
+    node = next(node for node in indegree if node in left)
+    path: list[int] = []
+    seen: dict[int, int] = {}
+    while node not in seen:
+        seen[node] = len(path)
+        path.append(node)
+        node = next(parent for parent in dependencies[node] if parent in left)
+    cycle = path[seen[node]:][::-1]  # parents first
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+    raise ValueError(f"dependency cycle {edges}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ Also covers the satellite fixes of the same PR:
 * the :func:`_remaining_paid` helper at exact billing boundaries;
 * the truncation penalty horizon (never-started jobs) and the invariant
   that a truncated score can never beat a draining policy's;
-* selector warm-start + round-over-round memoization;
+* selector warm-start + the round-local share table;
 * the numpy BSD batch;
 * slimmed parallel wave payloads.
 """
@@ -24,6 +24,7 @@ import pytest
 
 from repro.cloud.profile import CloudProfile, VMSnapshot, profile_from_vms
 from repro.cloud.provider import CloudProvider, ProviderConfig
+from repro.core.fast_sim import Member, ShareTable
 from repro.core.online_sim import OnlineSimulator, SimOutcome, _charged, _remaining_paid
 from repro.core.selection import TimeConstrainedSelector
 from repro.experiments.engine import ClusterEngine
@@ -446,7 +447,7 @@ class TestTruncation:
 
 
 # ---------------------------------------------------------------------------
-# selector: warm-start prefix + memoization
+# selector: warm-start prefix + round-local share table
 
 
 def portfolio_selector(kernel="fast", n=12):
@@ -465,37 +466,7 @@ def round_inputs():
 
 
 class TestSelectorMemo:
-    def test_repeat_round_hits_memo_with_identical_scores(self):
-        sel = portfolio_selector()
-        queue, waits, runtimes, profile = round_inputs()
-        first = sel.select(queue, waits, runtimes, profile)
-        assert sel.memo_hits == 0
-        second = sel.select(queue, waits, runtimes, profile)
-        assert sel.memo_hits > 0
-        by_name = {ps.policy.name: ps for ps in first.simulated}
-        for ps in second.simulated:
-            prev = by_name.get(ps.policy.name)
-            if prev is not None:
-                assert ps.outcome == prev.outcome
-                assert ps.cost == prev.cost  # virtual clock: hits charge the same
-
-    def test_changed_waits_invalidate_memo(self):
-        sel = portfolio_selector()
-        queue, waits, runtimes, profile = round_inputs()
-        sel.select(queue, waits, runtimes, profile)
-        bumped = [w + 20.0 for w in waits]
-        sel.select(queue, bumped, runtimes, profile)
-        assert sel.memo_hits == 0
-
-    def test_changed_profile_invalidates_memo(self):
-        sel = portfolio_selector()
-        queue, waits, runtimes, profile = round_inputs()
-        sel.select(queue, waits, runtimes, profile)
-        import dataclasses
-
-        shifted = dataclasses.replace(profile, now=profile.now + 20.0)
-        sel.select(queue, waits, runtimes, shifted)
-        assert sel.memo_hits == 0
+    """``memo_hits`` now counts share-table answers."""
 
     def test_reference_kernel_disables_memo_and_prep(self):
         sel = portfolio_selector(kernel="reference")
@@ -503,7 +474,7 @@ class TestSelectorMemo:
         sel.select(queue, waits, runtimes, profile)
         sel.select(queue, waits, runtimes, profile)
         assert sel.memo_hits == 0
-        assert sel._memo is None
+        assert sel._share is None and sel._prep is None
 
     def test_selection_identical_across_kernels(self):
         queue, waits, runtimes, profile = round_inputs()
@@ -515,6 +486,202 @@ class TestSelectorMemo:
                 [(ps.policy.name, ps.score, ps.cost) for ps in out.simulated]
             )
         assert outs[0] == outs[1]
+
+
+def members_of(names):
+    return [policy_by_name(name) for name in names]
+
+
+def siblings(prefix):
+    """The three VM-selection siblings of ``<prov>-<jsel>``."""
+    return members_of(f"{prefix}-{v}" for v in ("BestFit", "FirstFit", "WorstFit"))
+
+
+def share_round(sim, policies, queue, waits, runtimes, profile):
+    """Run one share table over *policies* in order, checking every
+    answer against a fresh evaluation; returns (answers, shared count)."""
+    prep = sim.prepare(queue, waits, runtimes, profile)
+    table = ShareTable(prep)
+    answers, shared = [], 0
+    for policy in policies:
+        member = Member(policy)
+        hit = table.lookup(member)
+        fresh, invariant = sim.evaluate_prepared(prep, policy, flagged=True)
+        if hit is None:
+            table.store(member, fresh, invariant)
+        else:
+            assert hit == fresh, policy.name
+            shared += 1
+        answers.append(fresh)
+    return answers, shared
+
+
+class TestSelectorShare:
+    @pytest.mark.parametrize("rv_accounting", ["total", "marginal"])
+    def test_every_shared_answer_equals_a_fresh_evaluation(self, rv_accounting):
+        """Exhaustive over the soak states, plain and spot portfolios, in
+        three visit orders so each member is answered from different
+        sources."""
+        import random
+
+        sim = OnlineSimulator(rv_accounting=rv_accounting)
+        # Two jobs on one idle VM: FCFS stalls behind the wide job while
+        # LXF starts the short one, and ODA and ODM size differently, so
+        # neither static equivalence may extend past one job.
+        two_jobs = (
+            [Job(job_id=0, submit_time=0.0, runtime=1_000.0, procs=2),
+             Job(job_id=1, submit_time=0.0, runtime=10.0, procs=1)],
+            [100.0, 50.0],
+            [1_000.0, 10.0],
+            profile_from_vms(500.0, [vm(0, lease=0.0)], max_vms=8),
+        )
+        states = [s[1:] for s in synthetic_states()] + [swf_state(), two_jobs]
+        rng = random.Random(3)
+        shared_total = 0
+        for queue, waits, runtimes, profile in states:
+            for members in (build_portfolio(),
+                            build_portfolio() + spot_portfolio_members()):
+                shuffled = members[:]
+                rng.shuffle(shuffled)
+                for order in (members, members[::-1], shuffled):
+                    _, shared = share_round(sim, order, queue, waits, runtimes, profile)
+                    shared_total += shared
+        assert shared_total > 0
+
+    def test_best_and_worst_fit_diverge_no_cross_share(self):
+        now = 10_000.0
+        # Paid time left: 3500 s on VM 0, 600 s on VM 1.  A 1000 s job
+        # leaves 2500 s vs 3200 s: BestFit takes VM 0, WorstFit VM 1.
+        fleet = [vm(0, lease=now - 100.0), vm(1, lease=now - 3_000.0)]
+        profile = profile_from_vms(now, fleet, max_vms=8, boot_delay=100.0)
+        queue = jobs_of(1, procs=1, runtime=1_000.0)
+        sim = OnlineSimulator()
+        prep = sim.prepare(queue, [0.0], [1_000.0], profile)
+        best, first, worst = siblings("ODA-FCFS")
+        best_out, invariant = sim.evaluate_prepared(prep, best, flagged=True)
+        assert not invariant
+        worst_out = sim.evaluate_prepared(prep, worst)
+        assert best_out != worst_out
+        table = ShareTable(prep)
+        table.store(Member(best), best_out, invariant)
+        assert table.lookup(Member(worst)) is None
+        assert table.lookup(Member(first)) is None
+        assert table.lookup(Member(best)) == best_out
+
+        sel = TimeConstrainedSelector([best, first, worst], simulator=sim,
+                                      time_constraint=10.0,
+                                      cost_clock=VirtualCostClock(0.01))
+        out = sel.select(queue, [0.0], [1_000.0], profile)
+        assert sel.memo_hits == 0
+        for ps in out.simulated:
+            assert ps.outcome == sim.evaluate_prepared(prep, ps.policy)
+
+    def test_whole_pool_allocation_is_shared(self):
+        """``p == len(pool)``: every VM-selection kind takes the whole pool."""
+        now = 10_000.0
+        fleet = [vm(0, lease=now - 100.0), vm(1, lease=now - 3_000.0)]
+        profile = profile_from_vms(now, fleet, max_vms=8, boot_delay=100.0)
+        queue = jobs_of(1, procs=2, runtime=1_000.0)
+        sim = OnlineSimulator()
+        prep = sim.prepare(queue, [0.0], [1_000.0], profile)
+        members = siblings("ODA-FCFS")
+        _, invariant = sim.evaluate_prepared(prep, members[0], flagged=True)
+        assert invariant
+        sel = TimeConstrainedSelector(members, simulator=sim,
+                                      time_constraint=10.0,
+                                      cost_clock=VirtualCostClock(0.01))
+        out = sel.select(queue, [0.0], [1_000.0], profile)
+        assert sel.memo_hits == 2
+        assert sel.total_simulated == 3
+        for ps in out.simulated:
+            assert ps.outcome == sim.evaluate_prepared(prep, ps.policy)
+            assert ps.cost == 0.01
+
+    def test_zero_work_single_job_keeps_ode_apart(self):
+        """ODE leases nothing for zero work; ODA/ODM still lease."""
+        now = 0.0
+        profile = profile_from_vms(now, [vm(0, lease=now - 100.0)], max_vms=8)
+        queue = jobs_of(1, procs=2)
+        waits, runtimes = [0.0], [0.0]
+        sim = OnlineSimulator(max_steps=50)
+        members = members_of(["ODA-FCFS-FirstFit", "ODM-FCFS-FirstFit",
+                              "ODE-FCFS-FirstFit"])
+        sel = TimeConstrainedSelector(members, simulator=sim,
+                                      time_constraint=10.0,
+                                      cost_clock=VirtualCostClock(0.01))
+        out = sel.select(queue, waits, runtimes, profile)
+        assert sel.memo_hits == 1  # ODM answered by ODA, ODE simulated
+        by_name = {ps.policy.name: ps.outcome for ps in out.simulated}
+        assert by_name["ODM-FCFS-FirstFit"] == by_name["ODA-FCFS-FirstFit"]
+        assert by_name["ODE-FCFS-FirstFit"] != by_name["ODA-FCFS-FirstFit"]
+        prep = sim.prepare(queue, waits, runtimes, profile)
+        for ps in out.simulated:
+            assert ps.outcome == sim.evaluate_prepared(prep, ps.policy)
+
+    def test_strict_audit_run_matches_unshared_evaluation(self):
+        """A portfolio run with sharing is identical to one whose
+        simulator overrides ``evaluate`` (prep and sharing off)."""
+        from repro.audit import AuditConfig
+        from repro.core.scheduler import PortfolioScheduler
+        from repro.experiments.engine import EngineConfig
+
+        class Unshared(OnlineSimulator):
+            def evaluate(self, queue, waits, runtimes, profile, policy):
+                return super().evaluate(queue, waits, runtimes, profile, policy)
+
+        jobs = generate_trace(DAS2_FS0, duration=4 * HOUR, seed=5)[:60]
+        runs = []
+        for unshared in (False, True):
+            scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7)
+            if unshared:
+                sim = Unshared(scheduler.utility)
+                scheduler.simulator = scheduler.selector.simulator = sim
+            engine = ClusterEngine(
+                [j.fresh_copy() for j in jobs],
+                scheduler,
+                config=EngineConfig(audit=AuditConfig(level="strict")),
+            )
+            r = engine.run()
+            runs.append((
+                (r.metrics.rj_seconds, r.metrics.rv_seconds,
+                 r.metrics.avg_bounded_slowdown, r.utility, r.ticks),
+                scheduler.selector,
+            ))
+        (shared_result, shared_sel), (plain_result, plain_sel) = runs
+        assert shared_result == plain_result
+        assert shared_sel.total_simulated == plain_sel.total_simulated
+        assert shared_sel.set_sizes() == plain_sel.set_sizes()
+        assert shared_sel.memo_hits > 0
+        assert plain_sel.memo_hits == 0
+
+    def test_legacy_memo_snapshot_selects_identically(self, monkeypatch):
+        """A selector pickled by a build with the round-over-round memo
+        (``_memo``/``_memo_key`` in its state, no member table) resumes
+        and selects like the live one."""
+        queue, waits, runtimes, profile = round_inputs()
+        sel = portfolio_selector()
+        first = sel.select(queue, waits, runtimes, profile)
+        legacy = pickle.loads(pickle.dumps(sel))
+        del legacy.__dict__["_members"]
+        del legacy.__dict__["_share"]
+        legacy._memo = {ps.policy.name: ps.outcome for ps in first.simulated}
+        legacy._memo_key = ("stale",)
+        # Pickle the raw __dict__, as the older build did.
+        monkeypatch.delattr(TimeConstrainedSelector, "__getstate__")
+        blob = pickle.dumps(legacy)
+        monkeypatch.undo()
+        resumed = pickle.loads(blob)
+        assert not hasattr(resumed, "_memo") and not hasattr(resumed, "_memo_key")
+
+        bumped = [w + 20.0 for w in waits]
+        live = sel.select(queue, bumped, runtimes, profile)
+        again = resumed.select(queue, bumped, runtimes, profile)
+        assert [(ps.policy.name, ps.outcome, ps.cost) for ps in live.simulated] == [
+            (ps.policy.name, ps.outcome, ps.cost) for ps in again.simulated
+        ]
+        assert live.best.name == again.best.name
+        assert resumed.set_sizes() == sel.set_sizes()
+        assert resumed.memo_hits == sel.memo_hits
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for workflow (DAG) scheduling."""
 
+import ast
+
 import pytest
 
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
@@ -13,6 +15,7 @@ from repro.workload.workflows import (
     fork_join_workflow,
     merge_workflows,
     random_layered_workflow,
+    topological_order,
     workflow_makespan,
 )
 
@@ -43,6 +46,29 @@ class TestWorkflowModel:
         ]
         with pytest.raises(ValueError, match="cycle"):
             Workflow("w", jobs, {1: (2,), 2: (1,)})
+
+    def test_topological_order_and_cycle_edges(self):
+        order = topological_order({2: (1,), 3: (1, 2)}, [4])
+        assert sorted(order) == [1, 2, 3, 4]
+        assert order.index(1) < order.index(2) < order.index(3)
+        # A 3-cycle with a tail hanging off it: only the cycle is named.
+        deps = {4: (1,), 1: (3,), 2: (1,), 3: (2,)}
+        with pytest.raises(ValueError) as err:
+            topological_order(deps)
+        message = str(err.value)
+        assert message.startswith("dependency cycle ")
+        edges = ast.literal_eval(message.removeprefix("dependency cycle "))
+        assert sorted(edges) == [(1, 2), (2, 3), (3, 1)]
+        jobs = [Job(job_id=i, submit_time=0.0, runtime=1.0, procs=1)
+                for i in range(1, 5)]
+        with pytest.raises(ValueError, match="dependency cycle"):
+            ClusterEngine(jobs, FixedScheduler(policy_by_name("ODA-FCFS-FirstFit")),
+                          dependencies=deps)
+
+    def test_graph_is_plain_adjacency(self):
+        wf = fork_join_workflow("f", 0.0, width=2, stage_runtime=10.0)
+        split, a, b, merge = (j.job_id for j in wf.jobs)
+        assert wf.graph() == {split: [a, b], a: [merge], b: [merge], merge: []}
 
     def test_critical_path(self):
         wf = fork_join_workflow("f", 0.0, width=3, stage_runtime=100.0, seed=1)
