@@ -497,6 +497,20 @@ class InvariantMonitor:
                 f"{busy_fleet} VMs are BUSY but jobs hold {bound_vms} "
                 "VM bindings",
             )
+        if self.config.level is AuditLevel.STRICT:
+            # The provider answers idle_vms() from an index its VMs
+            # maintain; it must agree with a scan of the fleet.
+            idle = provider.idle_vms()
+            scan = [vm for vm in fleet if vm.state is VMState.IDLE]
+            if len(idle) != len(scan) or any(
+                a is not b for a, b in zip(idle, scan)
+            ):
+                self._emit(
+                    "idle-index-drift",
+                    now,
+                    f"idle index holds vms {[vm.vm_id for vm in idle]} but "
+                    f"the fleet's IDLE vms are {[vm.vm_id for vm in scan]}",
+                )
 
     def _check_rv(self, engine: "ClusterEngine", now: float) -> None:
         total = engine.provider.charged_seconds_total

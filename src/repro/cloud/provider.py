@@ -57,6 +57,12 @@ class CloudProvider:
 
     The provider owns VM objects for their whole life; schedulers interact
     through :meth:`lease`, :meth:`terminate` and the fleet queries.
+
+    ``_fleet`` is insertion-ordered and ids are assigned monotonically, so
+    it is always in ascending id order.  ``_idle`` indexes the IDLE VMs by
+    id; each leased VM's ``owner`` back-reference reports its state
+    transitions here (:meth:`_note_idle` / :meth:`_note_not_idle`), so
+    the index stays exact even when VM methods are called directly.
     """
 
     def __init__(
@@ -68,6 +74,7 @@ class CloudProvider:
         self.billing = billing or HourlyBilling(self.config.billing_period)
         self._next_id = 0
         self._fleet: dict[int, VM] = {}
+        self._idle: dict[int, VM] = {}
         self.charged_seconds_total = 0.0
         self.leases_total = 0
         #: Price-weighted charged seconds booked against spot instances
@@ -120,6 +127,7 @@ class CloudProvider:
                 reserved=reserved,
                 spot=spot,
                 price=price,
+                owner=self,
             )
             self._next_id += 1
             self._fleet[vm.vm_id] = vm
@@ -249,6 +257,16 @@ class CloudProvider:
                     self.on_charge(vm, charge, now, "reserved")
         return total
 
+    # -- idle index (maintained by VM state transitions) ---------------------
+
+    def _note_idle(self, vm: VM) -> None:
+        """Callback from :class:`VM` on entering IDLE."""
+        self._idle[vm.vm_id] = vm
+
+    def _note_not_idle(self, vm: VM) -> None:
+        """Callback from :class:`VM` on leaving IDLE (or terminating)."""
+        self._idle.pop(vm.vm_id, None)
+
     # -- fleet queries --------------------------------------------------------
 
     def leased_count(self) -> int:
@@ -261,11 +279,12 @@ class CloudProvider:
 
     def vms(self) -> list[VM]:
         """All live VMs (stable id order)."""
-        return [self._fleet[k] for k in sorted(self._fleet)]
+        return list(self._fleet.values())
 
     def idle_vms(self) -> list[VM]:
         """Usable idle VMs, in stable id order."""
-        return [vm for vm in self.vms() if vm.state is VMState.IDLE]
+        idle = self._idle
+        return [idle[k] for k in sorted(idle)]
 
     def booting_vms(self) -> list[VM]:
         return [vm for vm in self.vms() if vm.state is VMState.BOOTING]

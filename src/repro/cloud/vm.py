@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.cloud.provider import CloudProvider
 
 __all__ = ["VM", "VMState"]
 
@@ -54,6 +58,10 @@ class VM:
     #: on-demand/reserved instances, so multiplying is exact (IEEE754
     #: ``x * 1.0 == x``) and the default path stays bit-identical.
     price: float = field(default=1.0, compare=False)
+    #: The provider whose fleet holds this VM, if any.  Set at lease so
+    #: every state transition below keeps the provider's idle index
+    #: exact, whoever calls it; cleared at termination.
+    owner: "CloudProvider | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ready_time < self.lease_time:
@@ -75,6 +83,8 @@ class VM:
                 f"vm {self.vm_id}: boot_complete at {now} before ready {self.ready_time}"
             )
         self.state = VMState.IDLE
+        if self.owner is not None:
+            self.owner._note_idle(self)
 
     def assign(self, job_id: int, until: float) -> None:
         """IDLE → BUSY running *job_id* until *until*."""
@@ -83,6 +93,8 @@ class VM:
         self.state = VMState.BUSY
         self.job_id = job_id
         self.busy_until = until
+        if self.owner is not None:
+            self.owner._note_not_idle(self)
 
     def release_job(self) -> None:
         """BUSY → IDLE when its job completes."""
@@ -91,6 +103,8 @@ class VM:
         self.state = VMState.IDLE
         self.job_id = None
         self.busy_until = -1.0
+        if self.owner is not None:
+            self.owner._note_idle(self)
 
     def terminate(self, now: float) -> None:
         """Any live state → TERMINATED (busy VMs cannot be terminated)."""
@@ -102,3 +116,6 @@ class VM:
             raise ValueError(f"vm {self.vm_id}: terminate before lease")
         self.state = VMState.TERMINATED
         self.terminate_time = now
+        if self.owner is not None:
+            self.owner._note_not_idle(self)
+            self.owner = None

@@ -10,7 +10,7 @@ winner applied in between, exactly the paper's §6.4 parameterisation.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,9 +42,16 @@ class Scheduler(abc.ABC):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
-        """The policy to apply at this tick (queue is non-empty)."""
+        """The policy to apply at this tick (queue is non-empty).
+
+        *profile* is a zero-argument callable returning the current
+        :class:`CloudProfile`.  Building the snapshot costs one object
+        per live VM, so a scheduler calls it only when it actually
+        simulates this tick, and at most once; fixed, random and
+        round-robin schedulers never call it.
+        """
 
     def describe(self) -> str:
         return type(self).__name__
@@ -62,7 +69,7 @@ class FixedScheduler(Scheduler):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
         return self.policy
 
@@ -319,7 +326,7 @@ class PortfolioScheduler(Scheduler):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
         if self.failed_over:
             return self.safe_policy
@@ -329,7 +336,8 @@ class PortfolioScheduler(Scheduler):
             or tick_index - self._last_selection_tick >= self.selection_period
         )
         if due and queue:
-            outcome = self.selector.select(queue, waits, runtimes, profile)
+            snapshot = profile()
+            outcome = self.selector.select(queue, waits, runtimes, snapshot)
             self._pending_outcome = outcome
             if (
                 self.quarantine_limit is not None
@@ -373,7 +381,7 @@ class PortfolioScheduler(Scheduler):
                 self._apply_allocation(ranking)
             if any(name == chosen.name for name, _ in scores):
                 self.reflection.record_invocation(
-                    time=profile.now,
+                    time=snapshot.now,
                     scores=scores,
                     applied=chosen.name,
                 )
@@ -415,7 +423,7 @@ class RandomScheduler(Scheduler):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
         due = (
             self._active is None
@@ -454,7 +462,7 @@ class RoundRobinScheduler(Scheduler):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
         due = (
             self._active is None

@@ -193,17 +193,8 @@ class TimeConstrainedSelector:
         state = self.__dict__.copy()
         # ``id()`` keys mean nothing in another process; rebuilt lazily.
         state["_members"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Snapshots from builds with the round-over-round memo still
-        # carry its state.
-        state.pop("_memo", None)
-        state.pop("_memo_key", None)
-        state.setdefault("memo_hits", 0)
-        state.setdefault("_members", {})
         state["_share"] = None
-        self.__dict__.update(state)
+        return state
 
     def _member(self, policy: CombinedPolicy) -> Member:
         """The hoisted constants of *policy*, built on first sight."""

@@ -72,7 +72,12 @@ MANIFEST_NAME = "MANIFEST.json"
 #:    preemption bookkeeping); results grew a ``spot`` field.  Format-2
 #:    engines lack those attributes, so resuming one would crash
 #:    mid-run — reject the manifest up front instead.
-SNAPSHOT_FORMAT = 3
+#: 4: event-queue heap entries are ``(time, priority, seq, event)``
+#:    tuples; providers carry an id-keyed idle index fed by each VM's
+#:    ``owner`` back-reference.  Format-3 payloads hold bare events in
+#:    the heap and no index, and selectors no longer migrate the deleted
+#:    round-over-round memo's state.
+SNAPSHOT_FORMAT = 4
 
 
 class SnapshotError(RuntimeError):

@@ -538,12 +538,12 @@ class ClusterEngine:
             ),
         )
 
-    def _on_tick(self, sim: Simulator, event: Event) -> None:
-        self._tick_event = None
-        if not self.queue:
-            return  # chain pauses; the next arrival restarts it
-        now = sim.now
-        ctx = self._build_context(now)
+    def _capture_profile(self, now: float) -> CloudProfile:
+        """The fleet snapshot Algorithm 1 simulates from (paper Fig. 2).
+
+        Handed to the scheduler as a thunk: only a scheduler that
+        actually selects this tick pays for the per-VM snapshot.
+        """
         profile = CloudProfile.capture(self.provider, now)
         if self._spot_market is not None:
             price = self._spot_market.price_at(now)
@@ -552,8 +552,17 @@ class ClusterEngine:
                 spot_price=price,
                 spot_price_effective=self.config.spot.effective_price(price),
             )
+        return profile
+
+    def _on_tick(self, sim: Simulator, event: Event) -> None:
+        self._tick_event = None
+        if not self.queue:
+            return  # chain pauses; the next arrival restarts it
+        now = sim.now
+        ctx = self._build_context(now)
         policy = self.scheduler.active_policy(
-            self._tick_index, self.queue, ctx.waits, ctx.runtimes, profile
+            self._tick_index, self.queue, ctx.waits, ctx.runtimes,
+            lambda: self._capture_profile(now),
         )
         self._last_policy = policy
         self._tick_index += 1
@@ -670,7 +679,6 @@ class ClusterEngine:
         idle = self.provider.idle_vms()
         if self._doomed:
             idle = [vm for vm in idle if vm.vm_id not in self._doomed]
-        idle = sorted(idle, key=lambda vm: vm.vm_id)
         idle_shares = largest_remainder(len(idle), weights, seed=seed)
         busy_shares = largest_remainder(ctx.busy, weights, seed=seed)
         booting = len(self.provider.booting_vms())
@@ -1321,16 +1329,15 @@ class ClusterEngine:
         """
         if self.config.release_rule != "eager":
             return
-        idle = [vm for vm in self.provider.idle_vms() if not vm.reserved]
+        all_idle = self.provider.idle_vms()
+        idle = [vm for vm in all_idle if not vm.reserved]
         if not idle:
             return
         now = self.sim.now
         demand = sum(job.procs for job in self.queue)
         # Reserved idle VMs serve demand first, so on-demand surplus is
         # measured against what they cannot cover.
-        reserved_idle = sum(
-            1 for vm in self.provider.idle_vms() if vm.reserved
-        )
+        reserved_idle = len(all_idle) - len(idle)
         surplus = max(0, len(idle) - max(0, demand - reserved_idle))
         if surplus <= 0:
             return

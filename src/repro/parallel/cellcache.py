@@ -52,7 +52,10 @@ from repro.resilience.retry import RetryPolicy
 __all__ = ["CellCache", "CELL_CACHE_FORMAT", "CACHE_IO_RETRY"]
 
 #: Bump when the pickled payload layout changes incompatibly.
-CELL_CACHE_FORMAT = 1
+#: 2: event-queue heap entries are ``(time, priority, seq, event)``
+#:    tuples and providers carry an idle-VM index; format-1 entries are
+#:    keyed differently, so they are simply never hit again.
+CELL_CACHE_FORMAT = 2
 
 #: Backoff between failed put attempts; short, because a campaign cell's
 #: result is already in memory and the put blocks the fan-out loop.

@@ -2,9 +2,9 @@
 
 Events carry a timestamp, a kind, an integer priority used to order
 same-time events deterministically, and an arbitrary payload.  The total
-order is ``(time, priority, seq)`` where ``seq`` is a monotonically
-increasing insertion counter, so two events never compare equal and heap
-ordering is stable and reproducible.
+order is :meth:`Event.sort_key`, ``(time, priority, seq)``, where ``seq``
+is a monotonically increasing insertion counter, so no two events share
+a key and queue order is stable and reproducible.
 
 The counter is module-level process state.  Crash-safe resume
 (:mod:`repro.durability`) must restore it alongside the event heap —
@@ -100,6 +100,10 @@ class Event:
         Arbitrary data interpreted by the event consumer.
     priority:
         Same-time tie-break; defaults to ``int(kind)``.
+
+    ``time`` and ``priority`` must not change once the event is
+    scheduled: the queue copies :meth:`sort_key` into its heap entry at
+    push.
     """
 
     time: float
@@ -134,5 +138,3 @@ class Event:
         if self.owner is not None:
             self.owner._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()

@@ -1,9 +1,15 @@
 """Event queue and simulation loop.
 
-The kernel is deliberately minimal: a binary-heap :class:`EventQueue` with
-lazy cancellation, and a :class:`Simulator` that pops events in timestamp
+The kernel is deliberately minimal: an :class:`EventQueue` with lazy
+cancellation, and a :class:`Simulator` that pops events in timestamp
 order and dispatches them to registered handlers.  Handlers may schedule
 further events; time never flows backwards.
+
+The queue is a binary heap of ``(time, priority, seq, event)`` entries:
+the key is :meth:`Event.sort_key` taken once at push, so every heap
+comparison is a C-level tuple compare, and ``seq`` is unique, so the
+trailing event object is never compared.  An event's ``time`` and
+``priority`` are therefore immutable once it is scheduled.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._live = 0
 
     def __len__(self) -> int:
@@ -52,7 +58,9 @@ class EventQueue:
         if event.owner is not None and event.owner is not self:
             raise ValueError("event already belongs to another queue")
         event.owner = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(
+            self._heap, (event.time, event.priority, event.seq, event)
+        )
         self._live += 1
         return event
 
@@ -64,8 +72,9 @@ class EventQueue:
         IndexError
             If the queue holds no live events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             event.owner = None
             if not event.cancelled:
                 self._live -= 1
@@ -74,9 +83,10 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Timestamp of the earliest live event, or ``None`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).owner = None
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)[3].owner = None
+        return heap[0][0] if heap else None
 
     def cancel(self, event: Event) -> None:
         """Cancel *event*; equivalent to ``event.cancel()`` (kept for API
@@ -84,8 +94,8 @@ class EventQueue:
         event.cancel()
 
     def clear(self) -> None:
-        for event in self._heap:
-            event.owner = None
+        for entry in self._heap:
+            entry[3].owner = None
         self._heap.clear()
         self._live = 0
 

@@ -293,6 +293,24 @@ class TestMutations:
             engine.finalize()
         assert exc_info.value.violation.kind == "rv-ledger-divergence"
 
+    @pytest.mark.parametrize("corruption", ["drop", "ghost"])
+    def test_strict_flags_corrupted_idle_index(self, corruption):
+        engine = make_engine(hours=6.0, audit=STRICT)
+        engine.start()
+        while not engine.provider.idle_vms():
+            assert engine.advance(max_events=1)
+        engine.audit.check_round(engine)  # the intact index passes
+        index = engine.provider._idle
+        if corruption == "drop":
+            index.pop(next(iter(index)))
+        else:  # a busy or booting VM the index wrongly calls idle
+            ghost = next(vm for vm in engine.provider.vms()
+                         if vm.vm_id not in index)
+            index[ghost.vm_id] = ghost
+        with pytest.raises(InvariantViolation) as exc_info:
+            engine.audit.check_round(engine)
+        assert exc_info.value.violation.kind == "idle-index-drift"
+
     def test_duplicated_metrics_record_flagged(self):
         engine = make_engine(hours=6.0, audit=RECORD)
         engine.start()

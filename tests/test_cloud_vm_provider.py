@@ -171,3 +171,109 @@ class TestProvider:
         (vm,) = p.lease(1, 100.0)
         assert p.remaining_paid(vm, 100.0) == HOUR
         assert p.next_boundary(vm, 100.0) == 100.0 + HOUR
+
+
+def assert_index_exact(provider: CloudProvider) -> None:
+    """``vms()`` is in ascending id order and ``idle_vms()`` equals the
+    full-fleet scan it replaced, object for object."""
+    fleet = provider.vms()
+    ids = [vm.vm_id for vm in fleet]
+    assert ids == sorted(ids)
+    scan = [vm for vm in fleet if vm.state is VMState.IDLE]
+    idle = provider.idle_vms()
+    assert [id(vm) for vm in idle] == [id(vm) for vm in scan]
+    assert all(vm.owner is provider for vm in fleet)
+
+
+class TestIdleIndex:
+    def test_owner_set_at_lease_and_cleared_at_terminate(self):
+        p = CloudProvider()
+        vm = p.lease(1, now=0.0)[0]
+        assert vm.owner is p
+        vm.boot_complete(120.0)
+        assert p.idle_vms() == [vm]
+        p.terminate(vm, 200.0)
+        assert vm.owner is None
+        assert p.idle_vms() == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_direct_lifecycles_keep_index_exact(self, seed):
+        """Lease/boot/assign/release/terminate/preempt/finalize_reserved
+        driven by direct ``VM`` and provider calls, with pickle round
+        trips mid-sequence."""
+        import pickle
+        import random
+
+        rng = random.Random(seed)
+        p = CloudProvider(ProviderConfig(max_vms=24))
+        now = 0.0
+        for step in range(400):
+            now += rng.choice((0.0, 30.0, 130.0))
+            by_state = {s: [vm for vm in p.vms() if vm.state is s]
+                        for s in VMState}
+            op = rng.randrange(8)
+            if op == 0:
+                kind = rng.choice(("on-demand", "reserved", "spot"))
+                p.lease(rng.randint(1, 4), now, reserved=kind == "reserved",
+                        spot=kind == "spot", price=0.3 if kind == "spot" else 1.0)
+            elif op == 1 and by_state[VMState.BOOTING]:
+                vm = rng.choice(by_state[VMState.BOOTING])
+                vm.boot_complete(max(now, vm.ready_time))
+            elif op == 2 and by_state[VMState.IDLE]:
+                rng.choice(by_state[VMState.IDLE]).assign(step, now + 600.0)
+            elif op == 3 and by_state[VMState.BUSY]:
+                rng.choice(by_state[VMState.BUSY]).release_job()
+            elif op == 4:
+                victims = [vm for vm in p.vms()
+                           if vm.state is not VMState.BUSY and not vm.reserved]
+                if victims:
+                    p.terminate(rng.choice(victims), now)
+            elif op == 5:
+                spots = [vm for vm in p.vms()
+                         if vm.spot and vm.state is not VMState.BUSY]
+                if spots:
+                    p.preempt(rng.choice(spots), now)
+            elif op == 6 and rng.random() < 0.2:
+                p.finalize_reserved(now)
+            elif op == 7 and rng.random() < 0.3:
+                p = pickle.loads(pickle.dumps(p))
+            assert_index_exact(p)
+        p.terminate_all(now)
+        assert_index_exact(p)
+
+    def test_engine_driven_lifecycles_keep_index_exact(self):
+        """The same invariant through the cluster engine, with reserved
+        VMs, failures, spot preemption and a mid-run pickle."""
+        import pickle
+
+        from repro.cloud.failures import FailureModel
+        from repro.cloud.spot import SpotConfig
+        from repro.core.scheduler import FixedScheduler
+        from repro.experiments.engine import ClusterEngine, EngineConfig
+        from repro.policies.combined import policy_by_name
+        from repro.workload.synthetic import DAS2_FS0, generate_trace
+
+        jobs = generate_trace(DAS2_FS0, duration=6 * HOUR, seed=29)
+        engine = ClusterEngine(
+            jobs,
+            FixedScheduler(policy_by_name("ODA-UNICEF-FirstFit")),
+            config=EngineConfig(
+                reserved_vms=2,
+                failures=FailureModel(mtbf_seconds=4 * HOUR, seed=3),
+                spot=SpotConfig(seed=4, spot_fraction=0.5,
+                                preempt_rate_per_hour=1.0),
+            ),
+        )
+        engine.start()
+        steps = 0
+        while engine.advance(max_events=5):
+            assert_index_exact(engine.provider)
+            steps += 1
+            if steps == 20:
+                engine = pickle.loads(pickle.dumps(engine))
+                assert_index_exact(engine.provider)
+        assert steps > 20
+        result = engine.finalize()
+        assert_index_exact(engine.provider)
+        assert result.spot.preemptions > 0
+        assert result.failures > 0

@@ -112,6 +112,21 @@ class TestSnapshotStore:
         with pytest.raises(SnapshotError, match="format"):
             store.load_latest()
 
+    def test_format_3_engine_snapshot_refused(self, tmp_path):
+        """Format-3 snapshots hold bare events in the heap and no idle
+        index; resuming one must fail up front with a clear error."""
+        config = SnapshotConfig(directory=tmp_path, interval_seconds=None,
+                                every_events=200)
+        DurableRunner(make_engine(hours=6.0, portfolio=False), config).run()
+        paths = [tmp_path / MANIFEST_NAME, *tmp_path.glob("snap-*.meta.json")]
+        for path in paths:
+            raw = json.loads(path.read_text())
+            raw["format"] = 3
+            path.write_text(json.dumps(raw))
+        with pytest.raises(SnapshotError,
+                           match=r"format 3 is not supported \(expected 4\)"):
+            DurableRunner.resume(config)
+
     def test_no_tmp_litter_after_write(self, tmp_path):
         store = SnapshotStore(self.config(tmp_path))
         store.write({"a": 1}, sequence=1, sim_time=0.0, events_processed=0)
@@ -154,7 +169,9 @@ class TestHeapRoundTrip:
         q = EventQueue()
         e = q.push(Event(1.0))
         clone = pickle.loads(pickle.dumps(q))
-        clone_event = clone._heap[0]
+        entry = clone._heap[0]
+        clone_event = entry[3]
+        assert entry[:3] == clone_event.sort_key() == e.sort_key()
         assert clone_event.owner is clone
         clone_event.cancel()
         assert len(clone) == 0

@@ -654,35 +654,6 @@ class TestSelectorShare:
         assert shared_sel.memo_hits > 0
         assert plain_sel.memo_hits == 0
 
-    def test_legacy_memo_snapshot_selects_identically(self, monkeypatch):
-        """A selector pickled by a build with the round-over-round memo
-        (``_memo``/``_memo_key`` in its state, no member table) resumes
-        and selects like the live one."""
-        queue, waits, runtimes, profile = round_inputs()
-        sel = portfolio_selector()
-        first = sel.select(queue, waits, runtimes, profile)
-        legacy = pickle.loads(pickle.dumps(sel))
-        del legacy.__dict__["_members"]
-        del legacy.__dict__["_share"]
-        legacy._memo = {ps.policy.name: ps.outcome for ps in first.simulated}
-        legacy._memo_key = ("stale",)
-        # Pickle the raw __dict__, as the older build did.
-        monkeypatch.delattr(TimeConstrainedSelector, "__getstate__")
-        blob = pickle.dumps(legacy)
-        monkeypatch.undo()
-        resumed = pickle.loads(blob)
-        assert not hasattr(resumed, "_memo") and not hasattr(resumed, "_memo_key")
-
-        bumped = [w + 20.0 for w in waits]
-        live = sel.select(queue, bumped, runtimes, profile)
-        again = resumed.select(queue, bumped, runtimes, profile)
-        assert [(ps.policy.name, ps.outcome, ps.cost) for ps in live.simulated] == [
-            (ps.policy.name, ps.outcome, ps.cost) for ps in again.simulated
-        ]
-        assert live.best.name == again.best.name
-        assert resumed.set_sizes() == sel.set_sizes()
-        assert resumed.memo_hits == sel.memo_hits
-
 
 # ---------------------------------------------------------------------------
 # kernel plumbing: ctor validation, pickle back-compat, batch BSD

@@ -5,7 +5,12 @@ import pytest
 
 from repro.cloud.profile import CloudProfile
 from repro.core.framework import AlgorithmSelectionModel, ProblemInstance
-from repro.core.scheduler import FixedScheduler, PortfolioScheduler
+from repro.core.scheduler import (
+    FixedScheduler,
+    PortfolioScheduler,
+    RandomScheduler,
+    RoundRobinScheduler,
+)
 from repro.core.utility import UtilityFunction
 from repro.policies.combined import build_portfolio, policy_by_name
 from repro.sim.clock import VirtualCostClock
@@ -17,6 +22,19 @@ def profile(now=0.0) -> CloudProfile:
                         billing_period=3_600.0)
 
 
+class Thunk:
+    """The zero-argument profile callable ``active_policy`` takes,
+    counting how often it is read."""
+
+    def __init__(self, now=0.0):
+        self.now = now
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return profile(self.now)
+
+
 def jobs(n=3) -> list[Job]:
     return [Job(job_id=i, submit_time=0.0, runtime=60.0, procs=1) for i in range(n)]
 
@@ -26,10 +44,23 @@ class TestFixedScheduler:
         p = policy_by_name("ODX-LXF-WorstFit")
         s = FixedScheduler(p)
         for tick in range(5):
-            assert s.active_policy(tick, jobs(), [0.0] * 3, [60.0] * 3, profile()) is p
+            assert s.active_policy(tick, jobs(), [0.0] * 3, [60.0] * 3, Thunk()) is p
 
     def test_describe(self):
         assert FixedScheduler(build_portfolio()[0]).describe() == "ODA-FCFS-BestFit"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FixedScheduler(policy_by_name("ODX-LXF-WorstFit")),
+    lambda: RandomScheduler(seed=1),
+    lambda: RoundRobinScheduler(),
+])
+def test_non_simulating_schedulers_never_read_the_profile(make):
+    s = make()
+    read = Thunk()
+    for tick in range(5):
+        s.active_policy(tick, jobs(), [0.0] * 3, [60.0] * 3, read)
+    assert read.calls == 0
 
 
 class TestPortfolioScheduler:
@@ -41,7 +72,7 @@ class TestPortfolioScheduler:
     def test_selects_on_first_call(self):
         s = self.make()
         q = jobs()
-        p = s.active_policy(0, q, [0.0] * 3, [60.0] * 3, profile())
+        p = s.active_policy(0, q, [0.0] * 3, [60.0] * 3, Thunk())
         assert p is not None
         assert s.invocations == 1
 
@@ -49,34 +80,44 @@ class TestPortfolioScheduler:
         s = self.make(selection_period=4)
         q = jobs()
         for tick in range(8):
-            s.active_policy(tick, q, [0.0] * 3, [60.0] * 3, profile(now=tick * 20.0))
+            s.active_policy(tick, q, [0.0] * 3, [60.0] * 3, Thunk(now=tick * 20.0))
         # selections at ticks 0 and 4 only
         assert s.invocations == 2
+
+    def test_profile_read_once_per_selection_only(self):
+        s = self.make(selection_period=3)
+        reads = []
+        for tick in range(7):
+            read = Thunk(now=tick * 20.0)
+            s.active_policy(tick, jobs(), [0.0] * 3, [60.0] * 3, read)
+            reads.append(read.calls)
+        assert reads == [1, 0, 0, 1, 0, 0, 1]
+        assert s.invocations == 3
 
     def test_period_one_selects_every_tick(self):
         s = self.make(selection_period=1)
         q = jobs()
         for tick in range(5):
-            s.active_policy(tick, q, [0.0] * 3, [60.0] * 3, profile(now=tick * 20.0))
+            s.active_policy(tick, q, [0.0] * 3, [60.0] * 3, Thunk(now=tick * 20.0))
         assert s.invocations == 5
 
     def test_empty_queue_keeps_active_policy(self):
         s = self.make()
         q = jobs()
-        first = s.active_policy(0, q, [0.0] * 3, [60.0] * 3, profile())
-        second = s.active_policy(1, [], [], [], profile(now=20.0))
+        first = s.active_policy(0, q, [0.0] * 3, [60.0] * 3, Thunk())
+        second = s.active_policy(1, [], [], [], Thunk(now=20.0))
         assert second is first
         assert s.invocations == 1
 
     def test_reflection_records_applied_policy(self):
         s = self.make()
-        s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, profile())
+        s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, Thunk())
         assert len(s.reflection.applied_counts()) == 1
 
     def test_custom_portfolio(self):
         members = build_portfolio()[:6]
         s = self.make(portfolio=members)
-        p = s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, profile())
+        p = s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, Thunk())
         assert p in members
 
     def test_invalid_period(self):
@@ -111,24 +152,24 @@ class TestFailover:
         s = self.make()
         for tick in range(5):
             p = s.active_policy(tick, jobs(), [0.0] * 3, [60.0] * 3,
-                                profile(now=tick * 20.0))
+                                Thunk(now=tick * 20.0))
             assert p is not None
         assert not s.failed_over
         assert s.quarantined > 0
 
     def test_fails_over_at_limit(self):
         s = self.make(quarantine_limit=3)
-        p = s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, profile())
+        p = s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, Thunk())
         # first invocation simulates >= 3 policies, all crash
         assert s.failed_over
         assert p is s.safe_policy
 
     def test_failover_is_permanent_and_stops_selecting(self):
         s = self.make(quarantine_limit=1)
-        s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, profile())
+        s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, Thunk())
         assert s.failed_over
         before = s.invocations
-        p = s.active_policy(5, jobs(), [0.0] * 3, [60.0] * 3, profile(now=100.0))
+        p = s.active_policy(5, jobs(), [0.0] * 3, [60.0] * 3, Thunk(now=100.0))
         assert p is s.safe_policy
         assert s.invocations == before  # Algorithm 1 no longer runs
 
@@ -136,7 +177,7 @@ class TestFailover:
         members = build_portfolio()[:6]
         s = self.make(portfolio=members, quarantine_limit=1,
                       safe_policy=members[2].name)
-        s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, profile())
+        s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, Thunk())
         assert s.safe_policy is members[2]
 
     def test_unknown_safe_policy_rejected(self):

@@ -27,12 +27,12 @@ class TestEvent:
         a = Event(1.0, EventKind.SCHEDULE_TICK)
         b = Event(1.0, EventKind.JOB_FINISH)
         c = Event(0.5, EventKind.SCHEDULE_TICK)
-        assert c < b < a
+        assert c.sort_key() < b.sort_key() < a.sort_key()
 
     def test_same_kind_same_time_insertion_order(self):
         a = Event(1.0)
         b = Event(1.0)
-        assert a < b  # seq breaks the tie
+        assert a.sort_key() < b.sort_key()  # seq breaks the tie
 
     def test_cancel_marks(self):
         e = Event(1.0)
@@ -142,9 +142,44 @@ class TestEventQueue:
             else:
                 q.clear()
                 tracked.clear()
-            scan = sum(1 for e in q._heap if not e.cancelled)
+            assert all(entry[:3] == entry[3].sort_key() for entry in q._heap)
+            scan = sum(1 for entry in q._heap if not entry[3].cancelled)
             assert len(q) == scan
             assert bool(q) == (scan > 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pop_order_is_sort_key_order_with_ties(self, seed):
+        """Property: with heavily tied times and priorities, random
+        cancels and interleaved pops, the queue pops exactly the live
+        events in ``Event.sort_key`` order — before and after a pickle
+        round trip."""
+        import pickle
+        import random
+
+        rng = random.Random(seed)
+        q = EventQueue()
+        live: list[Event] = []
+        for _ in range(600):
+            op = rng.random()
+            if op < 0.6:
+                event = Event(float(rng.randrange(8)),
+                              EventKind(rng.randrange(len(EventKind))),
+                              priority=rng.choice((-1, 0, 1, 5)))
+                live.append(q.push(event))
+            elif op < 0.8 and live:
+                victim = live.pop(rng.randrange(len(live)))
+                victim.cancel()
+            elif live:
+                expected = min(live, key=Event.sort_key)
+                got = q.pop()
+                assert got is expected
+                live.remove(got)
+        assert len(q) == len(live)
+        expected_keys = [e.sort_key() for e in sorted(live, key=Event.sort_key)]
+
+        clone = pickle.loads(pickle.dumps(q))
+        assert [e.sort_key() for e in clone.drain()] == expected_keys
+        assert [e.sort_key() for e in q.drain()] == expected_keys
 
 
 class TestSimulator:
