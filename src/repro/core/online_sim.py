@@ -126,10 +126,6 @@ class OnlineSimulator:
         differential-testing baseline).
     """
 
-    #: Class-level default so schedulers pickled before the attribute
-    #: existed (durability snapshots) resume on the current default.
-    kernel = "fast"
-
     def __init__(
         self,
         utility: UtilityFunction | None = None,
@@ -206,7 +202,7 @@ class OnlineSimulator:
         flag (see :func:`~repro.core.fast_sim.fast_evaluate`), always
         False on the reference fallback.
         """
-        if getattr(self, "kernel", "fast") == "fast" and self.release_rule == "eager":
+        if self.kernel == "fast" and self.release_rule == "eager":
             from repro.core.fast_sim import fast_evaluate, fast_plan
 
             if plan is None:
@@ -238,7 +234,7 @@ class OnlineSimulator:
         """
         if not (len(queue) == len(waits) == len(runtimes)):
             raise ValueError("queue, waits and runtimes must be parallel")
-        if getattr(self, "kernel", "fast") == "fast" and self.release_rule == "eager":
+        if self.kernel == "fast" and self.release_rule == "eager":
             from repro.core.fast_sim import KernelPrep, fast_evaluate, fast_plan
 
             plan = fast_plan(policy)

@@ -77,7 +77,10 @@ MANIFEST_NAME = "MANIFEST.json"
 #:    ``owner`` back-reference.  Format-3 payloads hold bare events in
 #:    the heap and no index, and selectors no longer migrate the deleted
 #:    round-over-round memo's state.
-SNAPSHOT_FORMAT = 4
+#: 5: the fractional-fleet layer is gone: schedulers carry no allocator
+#:    state and results no ``alloc`` field.  A format-4 payload of a
+#:    k > 1 run names the deleted allocator package.
+SNAPSHOT_FORMAT = 5
 
 
 class SnapshotError(RuntimeError):

@@ -55,7 +55,9 @@ __all__ = ["CellCache", "CELL_CACHE_FORMAT", "CACHE_IO_RETRY"]
 #: 2: event-queue heap entries are ``(time, priority, seq, event)``
 #:    tuples and providers carry an idle-VM index; format-1 entries are
 #:    keyed differently, so they are simply never hit again.
-CELL_CACHE_FORMAT = 2
+#: 3: pickled schedulers and results lost their fractional-fleet
+#:    (allocator) fields.
+CELL_CACHE_FORMAT = 3
 
 #: Backoff between failed put attempts; short, because a campaign cell's
 #: result is already in memory and the put blocks the fan-out loop.

@@ -18,6 +18,7 @@ import pytest
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
 from repro.durability import (
     MANIFEST_NAME,
+    SNAPSHOT_FORMAT,
     CompletedRun,
     DurableRunner,
     RunInterrupted,
@@ -112,20 +113,32 @@ class TestSnapshotStore:
         with pytest.raises(SnapshotError, match="format"):
             store.load_latest()
 
-    def test_format_3_engine_snapshot_refused(self, tmp_path):
-        """Format-3 snapshots hold bare events in the heap and no idle
-        index; resuming one must fail up front with a clear error."""
+    def assert_old_format_refused(self, tmp_path, old_format, portfolio):
         config = SnapshotConfig(directory=tmp_path, interval_seconds=None,
                                 every_events=200)
-        DurableRunner(make_engine(hours=6.0, portfolio=False), config).run()
+        DurableRunner(make_engine(hours=6.0, portfolio=portfolio), config).run()
         paths = [tmp_path / MANIFEST_NAME, *tmp_path.glob("snap-*.meta.json")]
         for path in paths:
             raw = json.loads(path.read_text())
-            raw["format"] = 3
+            raw["format"] = old_format
             path.write_text(json.dumps(raw))
-        with pytest.raises(SnapshotError,
-                           match=r"format 3 is not supported \(expected 4\)"):
+        with pytest.raises(
+            SnapshotError,
+            match=rf"format {old_format} is not supported "
+                  rf"\(expected {SNAPSHOT_FORMAT}\)",
+        ):
             DurableRunner.resume(config)
+
+    def test_format_3_engine_snapshot_refused(self, tmp_path):
+        """Format-3 snapshots hold bare events in the heap and no idle
+        index; resuming one must fail up front with a clear error."""
+        self.assert_old_format_refused(tmp_path, 3, portfolio=False)
+
+    def test_format_4_engine_snapshot_refused(self, tmp_path):
+        """Format-4 portfolio snapshots may carry fractional-fleet
+        allocator state naming a deleted module; resuming one must fail
+        up front with a clear error."""
+        self.assert_old_format_refused(tmp_path, 4, portfolio=True)
 
     def test_no_tmp_litter_after_write(self, tmp_path):
         store = SnapshotStore(self.config(tmp_path))

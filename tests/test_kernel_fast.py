@@ -666,20 +666,6 @@ def test_kernel_ctor_validation():
     assert OnlineSimulator().kernel == "fast"
 
 
-def test_old_pickles_without_kernel_attr_default_to_fast():
-    sim = OnlineSimulator()
-    # Simulate a durability snapshot taken before the attribute existed.
-    del sim.__dict__["kernel"]
-    assert getattr(sim, "kernel", None) == "fast"  # class-level default
-    queue = jobs_of(2)
-    profile = profile_from_vms(0.0, [], max_vms=8)
-    out = sim.evaluate(queue, [0.0, 0.0], [300.0, 300.0], profile, build_portfolio()[0])
-    assert not out.truncated
-
-    clone = pickle.loads(pickle.dumps(sim))
-    assert getattr(clone, "kernel", None) == "fast"
-
-
 def test_bounded_slowdown_batch_matches_scalar_elementwise():
     import numpy as np
 

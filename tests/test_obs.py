@@ -233,6 +233,36 @@ class TestReadTrace:
         out = capsys.readouterr().out
         assert "torn final line" in out
 
+    def test_retired_alloc_records_are_kept_and_ignored(self, tmp_path):
+        """Traces of k > 1 runs from builds with the fractional-fleet
+        layer hold ``alloc`` records; they read as an unknown kind."""
+        records = [
+            {"v": 1, "seq": 0, "kind": "run_start", "t": 0.0,
+             "scheduler": "portfolio(n=60, period=1, delta=0.2s)", "jobs": 5,
+             "tick": 20.0, "max_vms": 256, "resumed": False},
+            {"v": 1, "seq": 1, "kind": "round", "t": 788.7, "round": 0,
+             "queue": 1, "fleet": 0, "policy": "ODA-FCFS-BestFit"},
+            {"v": 1, "seq": 2, "kind": "alloc", "t": 788.7, "round": 0,
+             "target": {"ODA-FCFS-BestFit": 0.5, "ODA-FCFS-FirstFit": 0.5},
+             "applied": {"ODA-FCFS-BestFit": 0.5, "ODA-FCFS-FirstFit": 0.5},
+             "moved": True, "drift": 1.0, "rebalances": 1, "holds": 0},
+            {"v": 1, "seq": 3, "kind": "round", "t": 808.7, "round": 1,
+             "queue": 1, "fleet": 2, "policy": "ODA-FCFS-FirstFit"},
+        ]
+        path = self.write(
+            tmp_path / "t.jsonl",
+            [json.dumps(r).encode() + b"\n" for r in records],
+        )
+        trace = read_trace(path)
+        assert trace.skipped_lines == 0 and not trace.torn_final_line
+        assert [r["kind"] for r in trace.records] == [
+            "run_start", "round", "alloc", "round",
+        ]
+        report = render_trace_report(trace, source=str(path))
+        assert "alloc=1" in report  # counted among the record kinds
+        assert "policy switches: 1" in report
+        assert "fleet allocation" not in report
+
 
 class TestEngineWiring:
     def test_one_round_record_per_scheduler_round(self, tmp_path):
